@@ -176,19 +176,22 @@ func runWorker(cfg runCfg, proc int) error {
 type workerProc struct {
 	cmd    *exec.Cmd
 	stdin  io.WriteCloser
-	lines  *bufio.Scanner
+	lines  *bufio.Reader
 	result *core.WorkerResult
 }
 
 // expect reads the child's next stdout line and strips the given prefix.
+// Lines have no length cap: a RESULT line grows with the vertices the
+// worker hosts.
 func (w *workerProc) expect(prefix string) (string, error) {
-	if !w.lines.Scan() {
-		if err := w.lines.Err(); err != nil {
-			return "", err
-		}
+	line, err := w.lines.ReadString('\n')
+	if err == io.EOF {
 		return "", fmt.Errorf("worker exited before sending %s", prefix)
 	}
-	line := w.lines.Text()
+	if err != nil {
+		return "", err
+	}
+	line = strings.TrimSuffix(line, "\n")
 	if !strings.HasPrefix(line, prefix+" ") {
 		return "", fmt.Errorf("expected %s line, got %q", prefix, line)
 	}
@@ -233,7 +236,7 @@ func runLauncher(cfg runCfg, verify bool, timeout time.Duration) error {
 		if err := cmd.Start(); err != nil {
 			return fmt.Errorf("spawning worker %d: %w", p, err)
 		}
-		workers[p] = &workerProc{cmd: cmd, stdin: stdin, lines: bufio.NewScanner(stdout)}
+		workers[p] = &workerProc{cmd: cmd, stdin: stdin, lines: bufio.NewReader(stdout)}
 	}
 
 	// Collect every worker's listen address, then publish the full list.

@@ -80,6 +80,27 @@ func TestLaunchInProcess(t *testing.T) {
 	}
 }
 
+// TestLaunchLongResultLine is the regression test for the RESULT-line
+// cap: each worker hosts 4096 vertices, so its RESULT line is far longer
+// than a default bufio.Scanner's 64 KiB token limit, which used to fail
+// the launch with "token too long".
+func TestLaunchLongResultLine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	cfg := runCfg{
+		kind: "random", scale: 13, edgeFactor: 16, seed: 1, source: 0,
+		topo:  netsim.Topology{Nodes: 1, ProcsPerNode: 2, PEsPerProc: 2},
+		ptram: 0.999, ppq: 0.05, bufSize: tram.DefaultCapacity,
+	}
+	if perWorker := (1 << cfg.scale) / cfg.topo.TotalProcs(); perWorker < 4096 {
+		t.Fatalf("only %d vertices per worker", perWorker)
+	}
+	if err := runLauncher(cfg, true, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBuildGraphKinds pins the graph recipes every worker rebuilds from
 // argv, and that an unknown kind is rejected.
 func TestBuildGraphKinds(t *testing.T) {

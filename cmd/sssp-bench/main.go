@@ -36,7 +36,7 @@ func main() {
 		full   = flag.Bool("full", false, "use the paper-shaped configuration (slower)")
 		csv    = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		verify = flag.Bool("verify", false, "verify every run against Dijkstra")
-		f3dur  = flag.Duration("fig3window", 2*time.Second, "measurement window per Fig 3 point")
+		f3dur  = flag.Duration("fig3window", 2*time.Second, "measurement window of each Fig 3 off/on run (5 pairs per point)")
 		cost   = flag.Duration("cost", -1, "simulated per-update compute cost (-1 = config default)")
 
 		traceOut   = flag.String("trace-chrome", "", "capture one instrumented ACIC run and write its Chrome/Perfetto trace to FILE")

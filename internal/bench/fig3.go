@@ -2,6 +2,7 @@ package bench
 
 import (
 	goruntime "runtime"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -122,29 +123,51 @@ func (c Config) fig3Run(pes int, window time.Duration, withReductions bool, cycl
 	return methods, handlers[0].reductions, nil
 }
 
+// fig3Pairs is how many off/on window pairs each Fig3Point interleaves.
+// A host-load spell that lands on one window skews only its pair, and the
+// median over pairs discards it.
+const fig3Pairs = 5
+
 // Fig3ReductionOverhead measures the per-reduction work loss across PE
-// counts. window is the measurement duration per configuration (the paper
-// uses 5 seconds; tests use much less).
+// counts. window is the measurement duration of each off or on run (the
+// paper uses 5 seconds; tests use much less). Each point interleaves
+// fig3Pairs off/on pairs, alternating which runs first, and reports the
+// median pair's loss per reduction; the method and reduction counts are
+// totals over all pairs.
 func (c Config) Fig3ReductionOverhead(peCounts []int, window time.Duration) ([]Fig3Point, error) {
 	cycleDelay := 500 * time.Microsecond // ~2000 reductions/s target pace
 	var points []Fig3Point
 	for _, pes := range peCounts {
-		off, _, err := c.fig3Run(pes, window, false, cycleDelay)
-		if err != nil {
-			return nil, err
-		}
-		on, reds, err := c.fig3Run(pes, window, true, cycleDelay)
-		if err != nil {
-			return nil, err
-		}
-		pt := Fig3Point{PEs: pes, MethodsOff: off, MethodsOn: on, Reductions: reds}
-		pt.ReductionsPerSec = float64(reds) / window.Seconds()
-		if off > 0 && reds > 0 {
-			lossPct := 100 * float64(off-on) / float64(off)
-			if lossPct < 0 {
-				lossPct = 0 // measurement noise can favor the reduction run
+		pt := Fig3Point{PEs: pes}
+		losses := make([]float64, 0, fig3Pairs)
+		for i := 0; i < fig3Pairs; i++ {
+			var off, on, reds int64
+			var err error
+			for _, withReductions := range [2]bool{i%2 == 1, i%2 == 0} {
+				if withReductions {
+					on, reds, err = c.fig3Run(pes, window, true, cycleDelay)
+				} else {
+					off, _, err = c.fig3Run(pes, window, false, cycleDelay)
+				}
+				if err != nil {
+					return nil, err
+				}
 			}
-			pt.LossPerReductionPct = lossPct / (pt.ReductionsPerSec * window.Seconds())
+			pt.MethodsOff += off
+			pt.MethodsOn += on
+			pt.Reductions += reds
+			if off > 0 && reds > 0 {
+				lossPct := 100 * float64(off-on) / float64(off)
+				if lossPct < 0 {
+					lossPct = 0 // measurement noise can favor the reduction run
+				}
+				losses = append(losses, lossPct/float64(reds))
+			}
+		}
+		pt.ReductionsPerSec = float64(pt.Reductions) / (fig3Pairs * window.Seconds())
+		if len(losses) > 0 {
+			sort.Float64s(losses)
+			pt.LossPerReductionPct = losses[len(losses)/2]
 		}
 		points = append(points, pt)
 	}

@@ -21,7 +21,9 @@ import (
 // triggered by the broadcast of epoch-1, because each PE measures its
 // holds inside OnBroadcast and the measurement rides the contribution to
 // the next reduction. Epoch 0's record therefore always reports zero hold
-// activity.
+// activity. The histogram, by contrast, is snapshotted later, when the PE
+// runs out of work (its pq empty), so Active, Created and Processed
+// include the work each PE did after the drain.
 type ThresholdAudit struct {
 	Epoch     int64 `json:"epoch"`
 	Active    int64 `json:"active"`

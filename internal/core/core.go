@@ -19,6 +19,16 @@
 // vertex's best known distance. Termination is quiescence detected through
 // the created/processed counters that ride along with every reduction:
 // equal sums in two consecutive reductions end the run (§II-D).
+//
+// The cycle is paced by work, never by a timer. A broadcast makes each PE
+// owe a contribution to the next reduction, and the PE pays it the first
+// time its pq runs empty, with its mailbox already drained; the root
+// broadcasts as soon as the merged value arrives. A busy PE therefore
+// holds the cycle back until it has worked through its admitted updates,
+// while an idle machine cycles as fast as the reduction tree's latency
+// allows — the paper's continuous cycle, paced only by its own latency.
+// Every contribution to epoch e+1 still follows the PE's receipt of
+// broadcast e, which is what the two-reduction quiescence test relies on.
 package core
 
 import (
@@ -45,7 +55,9 @@ type Update struct {
 	Dist   float64
 }
 
-// Params are ACIC's tunable parameters (§III).
+// Params are ACIC's tunable parameters (§III). The reduction cycle has no
+// pacing knob: it runs as fast as the PEs run out of work (see the package
+// doc).
 type Params struct {
 	// PTram is the percentile fraction p_tram used to derive the tram
 	// threshold. The paper's optimum is 0.999 (§IV-E).
@@ -66,15 +78,6 @@ type Params struct {
 	// TramCapacity is the tramlib buffer size (512, 1024 or 2048 in the
 	// paper; any positive value accepted).
 	TramCapacity int
-	// ReductionDelay throttles the continuous introspection cycle: the
-	// root waits this long after completing a reduction before
-	// broadcasting. In the paper the cycle is continuous because each
-	// round is paced by the physical latency of a machine-wide reduction;
-	// in simulation an unpaced cycle on a zero-latency network floods the
-	// mailboxes with control traffic and starves the idle trigger, so the
-	// zero value selects DefaultReductionDelay. A negative value requests
-	// a truly continuous cycle (sensible only with non-zero latency).
-	ReductionDelay time.Duration
 	// TerminateOnAllFinal additionally enables the experimental
 	// vertex-finalization termination condition the paper tried and
 	// abandoned (§II-D): if every vertex's distance is below the smallest
@@ -124,17 +127,7 @@ func DefaultParams() Params {
 	}
 }
 
-// DefaultReductionDelay paces the reduction-broadcast cycle in simulation.
-// 50µs approximates a small-scale machine-wide reduction round trip and
-// leaves PEs ample idle windows to drain their priority queues.
-const DefaultReductionDelay = 50 * time.Microsecond
-
 func (p Params) withDefaults(numVertices int) (Params, error) {
-	if p.ReductionDelay == 0 {
-		p.ReductionDelay = DefaultReductionDelay
-	} else if p.ReductionDelay < 0 {
-		p.ReductionDelay = 0 // continuous cycle, paced by network latency only
-	}
 	if p.PTram == 0 {
 		p.PTram = 0.999
 	}

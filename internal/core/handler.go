@@ -25,8 +25,6 @@ type (
 	// batchMsg carries aggregated updates (a tram flush or an
 	// intra-process demux forward).
 	batchMsg struct{ items []Update }
-	// delayedCtrl re-enters the root PE after a ReductionDelay timer.
-	delayedCtrl struct{ ctrl ctrlMsg }
 )
 
 // ctrlMsg is the broadcast payload closing every reduction cycle.
@@ -100,6 +98,10 @@ type peState struct {
 	// audit record aggregates machine-wide hold movement.
 	pendingHolds holdStats
 
+	// owed is the reduction epoch this PE has joined but not yet
+	// contributed to, -1 if none. Idle pays it once the pq runs empty.
+	owed int64
+
 	// Root-only state (PE 0).
 	reductions     int64
 	prevEqualSum   int64
@@ -134,7 +136,6 @@ type sharedState struct {
 	g     *graph.Graph
 	part  Partition
 	tm    *tram.Manager[Update]
-	rt    *runtime.Runtime
 	tr    *trace.Recorder
 	met   coreMetrics
 	ar    *arena.Arena[Update]
@@ -236,6 +237,7 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 		tTram:        p.BucketCount - 1, // everything flows until told otherwise
 		tPQ:          p.BucketCount - 1,
 		lowestActive: 0,
+		owed:         -1,
 		prevEqualSum: -1,
 	}
 	for i := range st.dist {
@@ -269,9 +271,7 @@ func (st *peState) Deliver(pe *runtime.PE, msg any) {
 	case seedMsg:
 		st.seed(pe, m.source)
 	case startMsg:
-		st.contribute(pe, 0)
-	case delayedCtrl:
-		pe.Broadcast(st.reductions, m.ctrl)
+		st.owed = 0
 	case runtime.Quiescence:
 		// ACIC detects quiescence itself; the runtime-level detector is
 		// not enabled for ACIC runs. Ignore defensively.
@@ -357,11 +357,16 @@ func (st *peState) receiveUpdate(pe *runtime.PE, u Update) {
 // Idle implements the paper's idle trigger: pop the lowest-distance update
 // and, only if it still carries the vertex's best known distance, relax the
 // out-edges (§II-C). One pop per invocation keeps the PE responsive to
-// arriving messages.
+// arriving messages. Once the pq is empty the PE has run out of work, and
+// it pays the reduction contribution it owes (see contribute).
 //
 //acic:noalloc
 func (st *peState) Idle(pe *runtime.PE) bool {
 	if st.queue.Len() == 0 {
+		if st.owed >= 0 {
+			st.contribute(pe, st.owed)
+			st.owed = -1
+		}
 		return false
 	}
 	it := st.queue.Pop()
@@ -420,7 +425,10 @@ func (st *peState) tramInsert(pe *runtime.PE, u Update) {
 }
 
 // contribute snapshots the local histogram (and, optionally, the count of
-// locally finalized vertices) into reduction epoch.
+// locally finalized vertices) into reduction epoch. It runs only from Idle
+// with an empty pq, after the mailbox has drained, so the snapshot is as
+// fresh as this PE can make it and the reduction cycle is paced by work
+// rather than by a timer.
 func (st *peState) contribute(pe *runtime.PE, epoch int64) {
 	sh := st.shared
 	rv := sh.pools.getReduceVal(sh.bucketCount, sh.bucketWidth)
@@ -524,20 +532,14 @@ func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
 		st.histTrace = append(st.histTrace, snap)
 	}
 
-	if st.params.ReductionDelay > 0 && !ctrl.terminate {
-		rt := st.shared.rt
-		time.AfterFunc(st.params.ReductionDelay, func() {
-			rt.Inject(0, delayedCtrl{ctrl: ctrl})
-		})
-		return
-	}
 	pe.Broadcast(epoch, ctrl)
 }
 
 // OnBroadcast applies a control broadcast on every PE: adopt the new
 // thresholds, drain the holds they release (lowest buckets first, §II-C),
 // explicitly flush tramlib (tail progress, §II-D), and join the next
-// reduction cycle.
+// reduction cycle. The contribution to that cycle is owed, not made here:
+// Idle pays it when the PE runs out of work.
 func (st *peState) OnBroadcast(pe *runtime.PE, epoch int64, payload any) {
 	ctrl := payload.(ctrlMsg)
 	if ctrl.terminate {
@@ -585,5 +587,5 @@ func (st *peState) OnBroadcast(pe *runtime.PE, epoch int64, payload any) {
 	for _, batch := range st.shared.tm.FlushSet(pe.Index()) {
 		pe.Send(batch.DestPE, batchMsg{items: batch.Items}, len(batch.Items))
 	}
-	st.contribute(pe, epoch+1)
+	st.owed = epoch + 1
 }

@@ -114,7 +114,6 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh.rt = rt
 
 	states := make([]*peState, topo.TotalPEs())
 	rt.Start(func(pe *runtime.PE) runtime.Handler {

@@ -181,7 +181,6 @@ func (w *Worker) Run(addrs []string) (*WorkerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.sh.rt = rt
 
 	states := make([]*peState, w.topo.TotalPEs())
 	rt.Start(func(pe *runtime.PE) runtime.Handler {

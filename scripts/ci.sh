@@ -73,10 +73,12 @@ echo "== multi-process loopback smoke (4 worker OS processes over TCP) =="
 # sockets, and verifies the merged result against Dijkstra plus the
 # per-process conservation ledgers and cross-process boundary balance
 # (-verify is the default). The -race build guards the codec and the
-# sockfab reader/writer goroutines.
+# sockfab reader/writer goroutines. The scale-13 two-worker shape hosts
+# 4096 vertices per worker, so its RESULT lines exceed 64 KiB.
 launch_bin="$(mktemp -d)/acic-launch"
 go build -o "$launch_bin" ./cmd/acic-launch
 "$launch_bin" -kind rmat -scale 9 -ppn 4 -pepp 2
+"$launch_bin" -kind random -scale 13 -ppn 2 -pepp 2
 go run -race ./cmd/acic-launch -kind random -scale 9 -ppn 4 -pepp 2
 rm -rf "$(dirname "$launch_bin")"
 
