@@ -16,8 +16,10 @@
 // a message into the destination's lane with the latency implied by the
 // (src, dst) tier plus a per-item serialization cost, and a single
 // dispatcher goroutine delivers each message to the caller-provided
-// delivery function when its deadline arrives, waking exactly at the
-// earliest pending deadline (timer + wake channel, no polling). Messages
+// delivery function when its deadline arrives. It sleeps on a timer toward
+// deadlines at least timerFloor (1 ms) away and yields toward nearer ones,
+// so the sub-millisecond tier latencies are delivered as modeled rather
+// than rounded up to the Go timer floor (see dispatch). Messages
 // between two PEs are delivered in send order (FIFO per source-destination
 // pair), matching the in-order delivery Charm++ guarantees between a pair
 // of PEs on one channel: both endpoints of a pair map to the same lane,
@@ -30,6 +32,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -648,11 +651,22 @@ func (n *Network) SendAfter(dst int, payload any, delay time.Duration) SendResul
 	return SendEnqueued
 }
 
+// timerFloor is the shortest wait the dispatcher hands to a runtime timer.
+// Once every goroutine is parked, the scheduler sleeps in the netpoller,
+// and epoll_wait takes whole milliseconds: netpoll turns any delay under
+// 1e6 ns into a 1 ms wait ($GOROOT/src/runtime/netpoll_epoll.go, netpoll,
+// Go 1.24). A 10 µs hop armed on a timer would then model a 1 ms network.
+const timerFloor = time.Millisecond
+
 // dispatch delivers queued messages at their deadlines. It scans the
-// lanes' lock-free nextAt mirrors for the earliest pending deadline, then
-// waits exactly until that deadline (or an earlier-deadline send arrives)
-// on a timer + wake channel — no polling naps, so sub-millisecond
-// latencies are honored without spinning.
+// lanes' lock-free nextAt mirrors for the earliest pending deadline. A
+// deadline at least timerFloor away is awaited on a timer + wake channel,
+// so long waits (relnet timeouts, fault-injected extras) cost no CPU. A
+// nearer one is awaited by yielding the processor and rescanning: PEs
+// sharing the dispatcher's P get to run, a send with an earlier deadline
+// shows up in the rescan, and the deadline is met as soon as the
+// dispatcher next runs, not a timer floor later. Either way a message is
+// delivered only once its deadline has passed.
 func (n *Network) dispatch() {
 	defer close(n.done)
 	timer := time.NewTimer(time.Hour)
@@ -680,6 +694,10 @@ func (n *Network) dispatch() {
 		//acic:allow-wallclock the dispatcher compares due times against the real timeline it schedules on
 		now := int64(time.Since(n.epoch))
 		if bestAt > now {
+			if bestAt-now < int64(timerFloor) {
+				runtime.Gosched()
+				continue
+			}
 			timer.Reset(time.Duration(bestAt - now))
 			select {
 			case <-n.wake:

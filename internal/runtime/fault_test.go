@@ -191,9 +191,14 @@ func TestDuplicateDeliverySwallowedWithReliability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Duplicate the first 0→1 frame. It is always data: the only 0→1 acks
+	// answer 1→0 data, which PE 1 sends only after receiving that frame.
+	// Counting frames of every pair instead could pick PE 0's standalone
+	// ack of its own opening self-send (acks and data both have size 1),
+	// whose copy the dedup window never sees.
 	var count atomic.Int64
 	rt.Network().SetDupFilter(func(src, dst, size int) (time.Duration, bool) {
-		return 200 * time.Microsecond, count.Add(1) == 3
+		return 200 * time.Microsecond, src == 0 && dst == 1 && count.Add(1) == 1
 	})
 	rt.Start(func(pe *PE) Handler { return &relayApp{hops: &hops, quiesced: &quiesced} })
 	rt.send(0, 0, envelope{kind: kindApp, payload: 10}, 1)

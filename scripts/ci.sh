@@ -43,6 +43,13 @@ awk -v t="$total" -v b="$baseline" 'BEGIN {
 echo "== race detector (all packages) =="
 go test -race ./...
 
+echo "== repetition stage (timing-sensitive tests, run many times) =="
+# The reliability dedup test once flaked by duplicating an ack instead of
+# data; the netsim floor tests guard sub-millisecond delivery (hops must not
+# pay Go's 1 ms timer floor) and that long waits still sleep on a timer.
+go test -count=100 -run '^TestDuplicateDeliverySwallowedWithReliability$' ./internal/runtime
+go test -count=20 -run '^(TestSubFloorLatenessWhileParked|TestLongWaitDoesNotSpin)$' ./internal/netsim
+
 echo "== fuzz smoke (10s per target; one target per invocation) =="
 go test -run '^$' -fuzz '^FuzzGraphLoadCSV$' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz '^FuzzHistogramMerge$' -fuzztime 10s ./internal/histogram
